@@ -1,9 +1,13 @@
 #include "bfv/bfv.h"
 
+#include <algorithm>
+#include <cmath>
+
 #include "common/bitops.h"
 #include "common/check.h"
 #include "common/timer.h"
 #include "nt/modops.h"
+#include "nt/modvec.h"
 #include "nt/primes.h"
 #include "poly/ntt_ct.h"
 
@@ -33,8 +37,10 @@ BfvContext::BfvContext(BfvParams params)
 
     const u64 step = 2ULL * params_.n;
     auto q_moduli = nt::generateNttPrimes(params_.logq, params_.limbs, step);
-    // Extension basis B with Q*B > 2*N*Q^2: one extra limb covers
-    // log2(2N) <= 17 < logq; one more for margin.
+    // Extension basis B: a tensor coefficient of two ModUp'd
+    // ciphertexts is below 2N*(L*Q)^2 in magnitude, so B > 4tN*L^2*Q
+    // keeps it below QB/2 and its scaled value round(t*x/Q) below B/2,
+    // both exact in RNS. L + 2 limbs of logq + 1 bits cover that.
     bCount_ = params_.limbs + 2;
     auto b_moduli = nt::generateNttPrimesAvoiding(params_.logq + 1, bCount_,
                                                   step, q_moduli);
@@ -57,8 +63,177 @@ BfvContext::BfvContext(BfvParams params)
     for (size_t i = 0; i < params_.limbs; ++i)
         deltaModQ_[i] = delta.modSmall(q_moduli[i]);
 
-    qToB_ = std::make_unique<rns::BasisConversion>(qBasis_,
-                                                   rns::RnsBasis(b_moduli));
+    const rns::RnsBasis b_basis(b_moduli);
+    internalCheck(bigQ_ * (4ULL * t_ * params_.n * params_.limbs *
+                           params_.limbs) <
+                      b_basis.bigModulus(),
+                  "BfvContext: extension basis B too small for an exact "
+                  "scale-and-round");
+    qToB_ = std::make_unique<rns::BasisConversion>(qBasis_, b_basis);
+    bToQ_ = std::make_unique<rns::BasisConversion>(b_basis, qBasis_);
+
+    digitConv_.reserve(params_.limbs);
+    for (size_t i = 0; i < params_.limbs; ++i) {
+        std::vector<u64> to;
+        for (size_t j = 0; j < params_.limbs; ++j)
+            if (j != i)
+                to.push_back(q_moduli[j]);
+        digitConv_.emplace_back(rns::RnsBasis({q_moduli[i]}),
+                                rns::RnsBasis(to));
+    }
+
+    // HPS multiply constants. Reducing t*[(QB/q_i)^-1]_{q_i} mod q_i
+    // moves t*x/Q by a multiple of B, invisible mod every b_j.
+    const BigUInt &big_b = b_basis.bigModulus();
+    for (size_t i = 0; i < params_.limbs; ++i) {
+        const u64 q = q_moduli[i];
+        u64 rem = 0;
+        const BigUInt omega =
+            (big_b * nt::mulMod(t_, qbBasis_.qHatInv(i), q))
+                .divmodSmall(q, rem);
+        mulTheta_.push_back(static_cast<double>(rem) /
+                            static_cast<double>(q));
+        std::vector<u32> row(bCount_);
+        for (size_t j = 0; j < bCount_; ++j)
+            row[j] = static_cast<u32>(omega.modSmall(b_moduli[j]));
+        mulOmega_.push_back(std::move(row));
+
+        const u64 b_mod_q = b_basis.bigModulusMod(q);
+        std::vector<u32> multiples(bCount_ + 1);
+        for (size_t v = 0; v <= bCount_; ++v)
+            multiples[v] = static_cast<u32>(nt::mulMod(v, b_mod_q, q));
+        bMultiple_.push_back(std::move(multiples));
+
+        // Decrypt: t*[(Q/q_i)^-1]_{q_i}/q_i, integer part below t.
+        const u64 num = static_cast<u64>(t_) * qBasis_.qHatInv(i);
+        decOmega_.push_back(static_cast<u32>(num / q));
+        decTheta_.push_back(static_cast<double>(num % q) /
+                            static_cast<double>(q));
+    }
+    for (u64 b : b_moduli) {
+        tQInvModB_.push_back(static_cast<u32>(nt::mulMod(
+            t_ % b, nt::invMod(qBasis_.bigModulusMod(b), b), b)));
+        invB_.push_back(1.0 / static_cast<double>(b));
+    }
+
+    // Lazy u64 windows: the accumulator starts (and restarts after a
+    // reduction) far below 2^62, so 2^(62 - a - b) products of a- and
+    // b-bit operands keep it below 2^63.
+    auto bits = [](const std::vector<u64> &moduli) {
+        return ilog2(*std::max_element(moduli.begin(), moduli.end())) + 1;
+    };
+    auto window = [](u32 a_bits, u32 b_bits) {
+        return size_t{1} << std::min(62 - a_bits - b_bits, 20u);
+    };
+    const u32 q_bits = bits(q_moduli);
+    mulWindow_ = window(q_bits, bits(b_moduli));
+    decWindow_ = window(q_bits, ilog2(t_) + 1);
+}
+
+namespace {
+
+/**
+ * round(sum_i x_i[c] * theta_i) per coefficient c over the first
+ * theta.size() limbs of x: the fractional half of the HPS formula.
+ * Each theta_i is in [0, 1), so the sum is non-negative.
+ */
+std::vector<u64>
+roundedFraction(const RnsPoly &x, const std::vector<double> &theta)
+{
+    const size_t n = x.limb(0).size();
+    std::vector<double> f(n, 0.0);
+    for (size_t i = 0; i < theta.size(); ++i) {
+        const u32 *xi = x.limb(i).data();
+        for (size_t c = 0; c < n; ++c)
+            f[c] += static_cast<double>(xi[c]) * theta[i];
+    }
+    std::vector<u64> r(n);
+    for (size_t c = 0; c < n; ++c)
+        r[c] = static_cast<u64>(std::llround(f[c]));
+    return r;
+}
+
+/**
+ * dst = (acc + sum_k terms[k].first * terms[k].second) mod bar, with a
+ * wide reduction every @p window products.
+ */
+void
+dotMod(u32 *dst, std::vector<u64> acc,
+       const std::vector<std::pair<const u32 *, u32>> &terms,
+       size_t window, const nt::Barrett &bar)
+{
+    const size_t n = acc.size();
+    size_t pending = 0;
+    for (const auto &[a, w] : terms) {
+        if (pending == window) {
+            nt::reduceWideInPlaceVec(acc.data(), n, bar);
+            pending = 0;
+        }
+        nt::accumMulVec(acc.data(), a, w, n);
+        ++pending;
+    }
+    nt::reduceWideVec(dst, acc.data(), n, bar);
+}
+
+} // namespace
+
+RnsPoly
+BfvContext::scaleAndRound(const RnsPoly &x) const
+{
+    const size_t l = qCount();
+    requireThat(!x.isEval() && x.limbCount() == l + bCount_,
+                "BfvContext::scaleAndRound: need a coefficient-domain "
+                "poly over Q u B");
+    const u32 n = degree();
+
+    // y = round(t*x/Q) in basis B:
+    //   y_j = [sum_i x_i*omega_ij + round(sum_i x_i*theta_i)
+    //          + x_j*[t*Q^-1]_{b_j}]_{b_j}.
+    const std::vector<u64> frac = roundedFraction(x, mulTheta_);
+    rns::LimbMatrix y(bCount_, std::vector<u32>(n));
+    std::vector<std::pair<const u32 *, u32>> terms(l + 1);
+    for (size_t j = 0; j < bCount_; ++j) {
+        for (size_t i = 0; i < l; ++i)
+            terms[i] = {x.limb(i).data(), mulOmega_[i][j]};
+        terms[l] = {x.limb(l + j).data(), tQInvModB_[j]};
+        dotMod(y[j].data(), frac, terms, mulWindow_,
+               bToQ_->from().barrett(j));
+    }
+
+    // B -> Q exactly: |y| < B/2, so the fast conversion's sum
+    // sum_j z_j*B/b_j equals y + v*B with v = round(sum_j z_j/b_j).
+    rns::LimbMatrix z, out;
+    bToQ_->step1(y, z);
+    bToQ_->step2(z, out);
+    std::vector<double> s(n, 0.0);
+    for (size_t j = 0; j < bCount_; ++j)
+        for (u32 c = 0; c < n; ++c)
+            s[c] += static_cast<double>(z[j][c]) * invB_[j];
+    RnsPoly r(*ring_, l, false);
+    for (size_t i = 0; i < l; ++i) {
+        const u64 q = ring_->modulus(i);
+        const auto &multiple = bMultiple_[i];
+        for (u32 c = 0; c < n; ++c)
+            r.limb(i)[c] = static_cast<u32>(nt::subMod(
+                out[i][c], multiple[std::lround(s[c])], q));
+    }
+    return r;
+}
+
+std::vector<u32>
+BfvContext::scaleToPlain(const RnsPoly &w) const
+{
+    const size_t l = qCount();
+    requireThat(!w.isEval() && w.limbCount() == l,
+                "BfvContext::scaleToPlain: need a coefficient-domain "
+                "poly over Q");
+    std::vector<std::pair<const u32 *, u32>> terms(l);
+    for (size_t i = 0; i < l; ++i)
+        terms[i] = {w.limb(i).data(), decOmega_[i]};
+    std::vector<u32> m(degree());
+    dotMod(m.data(), roundedFraction(w, decTheta_), terms, decWindow_,
+           nt::Barrett(t_));
+    return m;
 }
 
 BfvPlaintext
@@ -204,28 +379,14 @@ BfvEvaluator::encrypt(const BfvPlaintext &pt, const BfvPublicKey &pk,
 BfvPlaintext
 BfvEvaluator::decrypt(const BfvCiphertext &ct, const BfvSecretKey &sk) const
 {
-    const size_t l = ct.c0.limbCount();
+    const size_t l = ctx_.qCount();
     RnsPoly s = sk.s;
     s.truncateLimbs(l);
     RnsPoly w = ct.c1;
     w.mulPointwiseInPlace(s);
     w.addInPlace(ct.c0);
     w.toCoeff();
-
-    // m = round(t * w / Q) mod t, exactly per coefficient.
-    const auto &basis = ctx_.qBasis();
-    const u32 t = ctx_.plainModulus();
-    BfvPlaintext pt;
-    pt.coeffs.resize(ctx_.degree());
-    std::vector<u64> residues(l);
-    for (u32 j = 0; j < ctx_.degree(); ++j) {
-        for (size_t i = 0; i < l; ++i)
-            residues[i] = w.limb(i)[j];
-        const BigUInt x = basis.compose(residues);
-        const BigUInt y = (x * t).divRound(ctx_.bigQ());
-        pt.coeffs[j] = static_cast<u32>(y.modSmall(t));
-    }
-    return pt;
+    return BfvPlaintext{ctx_.scaleToPlain(w)};
 }
 
 BfvCiphertext
@@ -288,7 +449,6 @@ BfvEvaluator::multiply(const BfvCiphertext &a, const BfvCiphertext &b,
 {
     const size_t l = ctx_.qCount();
     const size_t full = l + ctx_.bCount();
-    const u32 n = ctx_.degree();
 
     // ModUp all four components to Q u B.
     const RnsPoly a0 = modUpToQb(ctx_, a.c0, log_);
@@ -312,36 +472,15 @@ BfvEvaluator::multiply(const BfvCiphertext &a, const BfvCiphertext &b,
     d1.addInPlace(d1b);
     logCall(KernelKind::VecModAdd, static_cast<u32>(full), 0, ta.seconds());
 
-    // Scale by t/Q: exact reference implementation over the composed
-    // integers (the RNS flow around it is what the kernels measure).
+    // Scale by t/Q: HPS scale-and-round in RNS, back to eval domain.
+    WallTimer ti;
+    d0.toCoeff();
+    d1.toCoeff();
+    d2.toCoeff();
+    logCall(KernelKind::Intt, static_cast<u32>(3 * full), 0, ti.seconds());
     WallTimer ts;
-    RnsPoly *tensor[3] = {&d0, &d1, &d2};
-    RnsPoly scaled[3] = {RnsPoly(ctx_.ring(), l, false),
-                         RnsPoly(ctx_.ring(), l, false),
-                         RnsPoly(ctx_.ring(), l, false)};
-    const auto &qb = ctx_.qbBasis();
-    const BigUInt &big_qb = qb.bigModulus();
-    const u32 t = ctx_.plainModulus();
-    for (int comp = 0; comp < 3; ++comp) {
-        tensor[comp]->toCoeff();
-        std::vector<u64> residues(full);
-        for (u32 j = 0; j < n; ++j) {
-            for (size_t i = 0; i < full; ++i)
-                residues[i] = tensor[comp]->limb(i)[j];
-            BigUInt x = qb.compose(residues);
-            // Center modulo Q*B, scale, round.
-            const bool neg = (x + x).compare(big_qb) > 0;
-            if (neg)
-                x = big_qb - x;
-            const BigUInt y = (x * t).divRound(ctx_.bigQ());
-            for (size_t i = 0; i < l; ++i) {
-                const u64 q = ctx_.ring().modulus(i);
-                const u64 r = y.modSmall(q);
-                scaled[comp].limb(i)[j] =
-                    static_cast<u32>(neg ? nt::negMod(r, q) : r);
-            }
-        }
-    }
+    RnsPoly scaled[3] = {ctx_.scaleAndRound(d0), ctx_.scaleAndRound(d1),
+                         ctx_.scaleAndRound(d2)};
     logCall(KernelKind::BConv, static_cast<u32>(3 * full),
             static_cast<u32>(3 * l), ts.seconds());
 
@@ -367,9 +506,9 @@ std::pair<RnsPoly, RnsPoly>
 BfvEvaluator::keySwitch(const RnsPoly &c, const BfvSwitchKey &swk) const
 {
     requireThat(c.isEval(), "BFV keySwitch: input must be in eval domain");
-    const size_t l = c.limbCount();
+    const size_t l = ctx_.qCount();
+    requireThat(c.limbCount() == l, "BFV keySwitch: input must span Q");
     requireThat(swk.digits.size() >= l, "BFV keySwitch: missing digits");
-    const u32 n = ctx_.degree();
 
     WallTimer ti;
     RnsPoly c_coeff = c;
@@ -381,14 +520,8 @@ BfvEvaluator::keySwitch(const RnsPoly &c, const BfvSwitchKey &swk) const
     for (size_t i = 0; i < l; ++i) {
         // Digit i: limb i exact, converted to the other q limbs.
         WallTimer tb;
-        std::vector<u64> from = {ctx_.ring().modulus(i)};
-        std::vector<u64> to;
-        for (size_t j = 0; j < l; ++j)
-            if (j != i)
-                to.push_back(ctx_.ring().modulus(j));
-        rns::BasisConversion conv{rns::RnsBasis(from), rns::RnsBasis(to)};
         rns::LimbMatrix in = {c_coeff.limb(i)}, out;
-        conv.apply(in, out);
+        ctx_.digitConversion(i).apply(in, out);
         logCall(KernelKind::BConv, 1, static_cast<u32>(l - 1),
                 tb.seconds());
 
@@ -421,7 +554,6 @@ BfvEvaluator::keySwitch(const RnsPoly &c, const BfvSwitchKey &swk) const
         logCall(KernelKind::VecModAdd, static_cast<u32>(2 * l), 0,
                 tadd.seconds());
     }
-    (void)n;
     return {acc0, acc1};
 }
 

@@ -7,17 +7,23 @@
  * message m in R_t is carried as Delta*m with Delta = floor(Q/t), so
  * decryption rounds t*(c0 + c1 s)/Q. The expensive operator mix is the
  * same kernel family the paper accelerates -- (I)NTT, BConv, VecMod* --
- * plus BFV multiplication's basis extension and scale-down.
+ * plus BFV multiplication's basis extension and scale-and-round.
  *
  * Implementation notes (documented substitutions, not shortcuts in the
  * kernel schedule):
  *  - Multiplication extends both ciphertexts from basis Q to Q u B via
  *    the production BConv kernels, tensors in the evaluation domain,
- *    and scales the result by t/Q exactly per coefficient with BigUInt
- *    (a reference implementation of the BEHZ/HPS scale-down; the RNS
- *    kernels around it are the ones the profiling measures).
+ *    and scales the tensor by t/Q entirely in RNS with the
+ *    floating-point-assisted scale-and-round of Halevi, Polyakov and
+ *    Shoup (CT-RSA 2019): round(t*x/Q) is formed in basis B from
+ *    precomputed integer/fractional parts of t*(QB/q_i)^-1*B/q_i, then
+ *    brought exactly from B to Q by a BConv with a double-precision
+ *    overflow correction. The only inexact step is the HPS round, off
+ *    by one only when the fractional part of t*x/Q lies within ~2^-23
+ *    of 1/2. Decryption uses the same formula with t in place of B.
  *  - Relinearisation / rotation use per-limb RNS gadget decomposition
- *    (dnum = L), the classic no-auxiliary-modulus hybrid special case.
+ *    (dnum = L), the classic no-auxiliary-modulus hybrid special case;
+ *    the L per-digit conversions are built once per context.
  *  - Batching encodes Z_t^N via an NTT modulo t (t == 1 mod 2N).
  */
 #pragma once
@@ -70,11 +76,26 @@ class BfvContext
 
     /** Q -> B conversion (multiplication ModUp). */
     const rns::BasisConversion &qToB() const { return *qToB_; }
+    /** Digit i of the per-limb key switch: {q_i} -> {q_j : j != i}. */
+    const rns::BasisConversion &digitConversion(size_t i) const
+    {
+        return digitConv_[i];
+    }
 
     /** The Q-basis as an RnsBasis (for CRT composition). */
     const rns::RnsBasis &qBasis() const { return qBasis_; }
     /** The full Q u B basis. */
     const rns::RnsBasis &qbBasis() const { return qbBasis_; }
+
+    /**
+     * round(t*x/Q) over Q for a coefficient-domain x over Q u B whose
+     * centred value satisfies |t*x/Q| < B/2 (every tensor of two
+     * ModUp'd ciphertexts does): multiplication's scale-and-round.
+     */
+    poly::RnsPoly scaleAndRound(const poly::RnsPoly &x) const;
+
+    /** [round(t*w/Q)]_t per coefficient of a coefficient-domain w over Q. */
+    std::vector<u32> scaleToPlain(const poly::RnsPoly &w) const;
 
   private:
     BfvParams params_;
@@ -87,6 +108,22 @@ class BfvContext
     rns::RnsBasis qBasis_;
     rns::RnsBasis qbBasis_;
     std::unique_ptr<rns::BasisConversion> qToB_;
+    std::unique_ptr<rns::BasisConversion> bToQ_;
+    std::vector<rns::BasisConversion> digitConv_;
+
+    // HPS constants. Multiply: t*[(QB/q_i)^-1]_{q_i}*B/q_i =
+    // omega_i + theta_i, with mulOmega_[i][j] = [omega_i]_{b_j}.
+    std::vector<double> mulTheta_;
+    std::vector<std::vector<u32>> mulOmega_;
+    std::vector<u32> tQInvModB_;  ///< [t*Q^-1]_{b_j}
+    std::vector<double> invB_;    ///< 1/b_j
+    /// [v*B]_{q_i} for v in [0, |B|]: the B -> Q overflow correction.
+    std::vector<std::vector<u32>> bMultiple_;
+    // Decrypt: t*[(Q/q_i)^-1]_{q_i}/q_i = decOmega_[i] + decTheta_[i].
+    std::vector<double> decTheta_;
+    std::vector<u32> decOmega_;
+    size_t mulWindow_; ///< products a u64 accumulator takes mod b_j
+    size_t decWindow_; ///< products a u64 accumulator takes mod t
 };
 
 /** Plaintext: slot values in Z_t. */

@@ -171,9 +171,11 @@ ServingEngine::enqueue(Request r)
     // Admission control: a deadline the batch-latency estimate says we
     // cannot make is shed *now*, before it occupies a queue slot the
     // feasible requests need. Estimate outside the lock (it prices a
-    // kernel schedule on a miss).
+    // kernel schedule on a miss). Without a cost model there is no
+    // estimate, and a deadline only arms dispatch-time shedding.
+    const bool admit_by_estimate = r.hasDeadline && cfg_.costModel;
     double est_wall_us = 0.0;
-    if (r.hasDeadline && cfg_.costModel)
+    if (admit_by_estimate)
         est_wall_us = cfg_.costScale * modelEstimateUs(r);
     {
         std::lock_guard<std::mutex> lock(m_);
@@ -184,7 +186,7 @@ ServingEngine::enqueue(Request r)
                 "ServingEngine: engine is shutting down")));
             return fut;
         }
-        if (r.hasDeadline) {
+        if (admit_by_estimate) {
             const auto earliest_finish =
                 Clock::now() + std::chrono::microseconds(
                                    static_cast<u64>(est_wall_us));

@@ -34,9 +34,9 @@
  *    instead of thrashing between key sets. Batches are formed from
  *    whatever is queued when a dispatcher frees up ("continuous
  *    batching"), with no artificial delay at low load.
- *  - Deadline-aware shedding: a submit whose deadline is provably
- *    infeasible -- already in the past, or closer than the cost
- *    model's batch-latency estimate for its model
+ *  - Deadline-aware shedding: with a cost model configured, a submit
+ *    whose deadline is provably infeasible -- already in the past, or
+ *    closer than the cost model's batch-latency estimate for its model
  *    (HeOpCostModel::pipelineLatencyUs, scaled by
  *    ServingConfig::costScale) -- is rejected up front with
  *    DeadlineError; a queued request whose deadline passes while it
@@ -153,9 +153,9 @@ struct ServingConfig
      * where estimate is HeOpCostModel::pipelineLatencyUs of the
      * request's pipeline at its level (batch 1, the conservative
      * no-amortisation bound), or the compiled graph's scheduled cost.
-     * Null (the default) disables estimate-based admission control;
-     * already-expired deadlines are still rejected, and queued
-     * requests whose deadline passes are still shed at dispatch.
+     * Null (the default) disables admission control: deadlines then
+     * only arm dispatch-time shedding of queued requests whose
+     * deadline has passed, including one already past at submit.
      * The model must outlive the engine.
      */
     const ckks::HeOpCostModel *costModel = nullptr;

@@ -1,14 +1,18 @@
 /**
  * @file
  * BFV tests: batching encoder round trips, encrypt/decrypt, homomorphic
- * add / multiply / rotate against exact Z_t arithmetic, and key-switch
- * noise sanity. BFV is exact (no approximation tolerance): every check
- * is an integer equality.
+ * add / multiply / rotate against exact Z_t arithmetic, key-switch
+ * noise sanity, and the RNS scale-and-round / decrypt against the
+ * BigUInt references in test_refs. BFV is exact: every slot check is an
+ * integer equality; only the HPS round may differ from the exact
+ * scale-down, by at most one.
  */
 #include <gtest/gtest.h>
 
 #include "bfv/bfv.h"
 #include "common/rng.h"
+#include "nt/modops.h"
+#include "test_refs.h"
 
 namespace cross::bfv {
 namespace {
@@ -187,7 +191,179 @@ TEST_F(BfvFixture, KernelLogCoversExpectedKinds)
     EXPECT_TRUE(has_ntt);
     EXPECT_TRUE(has_bconv);
     EXPECT_TRUE(has_mul);
+
+    const u32 l = static_cast<u32>(ctx.qCount());
+    const u32 full = l + static_cast<u32>(ctx.bCount());
+    using ckks::KernelKind;
+    std::vector<std::pair<u32, u32>> bconv;
+    size_t scale_at = 0;
+    const auto &calls = log.calls();
+    for (size_t k = 0; k < calls.size(); ++k) {
+        if (calls[k].kind != KernelKind::BConv)
+            continue;
+        bconv.emplace_back(calls[k].limbs, calls[k].limbsOut);
+        if (calls[k].limbs == 3 * full)
+            scale_at = k;
+    }
+    // BConv covers only the four ModUps Q -> B, one scale-and-round over
+    // the three tensor components, and the relinearisation's per-limb
+    // digit ModUps.
+    std::vector<std::pair<u32, u32>> want(4, {l, full - l});
+    want.emplace_back(3 * full, 3 * l);
+    for (u32 i = 0; i < l; ++i)
+        want.emplace_back(1, l - 1);
+    EXPECT_EQ(bconv, want);
+    // The tensor's coefficient-domain INTT is its own Intt entry just
+    // before the scale-and-round; the scaled output's NTT just after.
+    ASSERT_GT(scale_at, 0u);
+    ASSERT_LT(scale_at + 1, calls.size());
+    EXPECT_EQ(calls[scale_at - 1].kind, KernelKind::Intt);
+    EXPECT_EQ(calls[scale_at - 1].limbs, 3 * full);
+    EXPECT_EQ(calls[scale_at + 1].kind, KernelKind::Ntt);
+    EXPECT_EQ(calls[scale_at + 1].limbs, 3 * l);
 }
+
+TEST_F(BfvFixture, DepthTwoMultiplyChainExact)
+{
+    const auto rlk = keygen.relinKey();
+    const auto a = randomSlots(13);
+    const auto b = randomSlots(14);
+    const auto c = randomSlots(15);
+    const auto ca = evaluator.encrypt(encoder.encode(a), pk, rng);
+    const auto cb = evaluator.encrypt(encoder.encode(b), pk, rng);
+    const auto cc = evaluator.encrypt(encoder.encode(c), pk, rng);
+    const auto abc = evaluator.multiply(evaluator.multiply(ca, cb, rlk),
+                                        cc, rlk);
+    const auto prod =
+        encoder.decode(evaluator.decrypt(abc, keygen.secretKey()));
+    const u64 t = ctx.plainModulus();
+    for (size_t i = 0; i < a.size(); ++i)
+        EXPECT_EQ(prod[i], a[i] * b[i] % t * c[i] % t) << "slot " << i;
+}
+
+TEST_F(BfvFixture, DecryptMatchesBigUIntReference)
+{
+    // Fresh, once-multiplied and twice-multiplied ciphertexts: the RNS
+    // decrypt must equal the exact BigUInt rounding bit for bit.
+    const auto rlk = keygen.relinKey();
+    const auto &sk = keygen.secretKey();
+    const auto ca = evaluator.encrypt(encoder.encode(randomSlots(16)), pk,
+                                      rng);
+    const auto cb = evaluator.encrypt(encoder.encode(randomSlots(17)), pk,
+                                      rng);
+    const auto once = evaluator.multiply(ca, cb, rlk);
+    const auto twice = evaluator.multiply(once, ca, rlk);
+    for (const auto *ct : {&ca, &cb, &once, &twice})
+        EXPECT_EQ(evaluator.decrypt(*ct, sk).coeffs,
+                  testref::bfvDecrypt(ctx, *ct, sk).coeffs);
+}
+
+TEST_F(BfvFixture, KeySwitchDigitConversionsMatchFreshlyBuilt)
+{
+    // Each per-digit conversion the context builds once must equal a
+    // conversion built from scratch for the same digit.
+    const size_t l = ctx.qCount();
+    for (size_t i = 0; i < l; ++i) {
+        std::vector<u64> to;
+        for (size_t j = 0; j < l; ++j)
+            if (j != i)
+                to.push_back(ctx.ring().modulus(j));
+        const rns::BasisConversion fresh{
+            rns::RnsBasis({ctx.ring().modulus(i)}), rns::RnsBasis(to)};
+        const auto &pre = ctx.digitConversion(i);
+        ASSERT_EQ(pre.from().moduli(), fresh.from().moduli());
+        ASSERT_EQ(pre.to().moduli(), fresh.to().moduli());
+        const rns::LimbMatrix in = {testref::randomPoly(
+            ctx.degree(), ctx.ring().modulus(i), 100 + i)};
+        rns::LimbMatrix got, want;
+        pre.apply(in, got);
+        fresh.apply(in, want);
+        EXPECT_EQ(got, want) << "digit " << i;
+    }
+}
+
+// ---------------------------------------------------------------------
+// RNS scale-and-round against the BigUInt reference
+// ---------------------------------------------------------------------
+
+struct ScaleCase
+{
+    u32 n;
+    size_t limbs;
+    u32 logt;
+};
+
+class BfvScaleAndRound : public ::testing::TestWithParam<ScaleCase>
+{
+};
+
+/**
+ * Residues over Q u B of a random signed integer below the largest
+ * tensor coefficient two ModUp'd ciphertexts can produce,
+ * 2N * (L*Q)^2; the bit length is drawn too, so small values are
+ * covered as well as the extremes.
+ */
+std::vector<u64>
+randomTensorCoeff(const BfvContext &ctx, Rng &rng)
+{
+    const nt::BigUInt bound =
+        ctx.bigQ() * ctx.bigQ() *
+        (2ULL * ctx.degree() * ctx.qCount() * ctx.qCount());
+    const u32 bits =
+        1 + static_cast<u32>(rng.uniform(bound.bitLength() - 1));
+    nt::BigUInt x;
+    for (u32 done = 0; done < bits; done += 32) {
+        const u32 take = std::min(32u, bits - done);
+        x = x.shl(take) + rng.uniform(1ULL << take);
+    }
+    const auto &qb = ctx.qbBasis();
+    return qb.decompose(rng.uniform(2) ? qb.bigModulus() - x : x);
+}
+
+TEST_P(BfvScaleAndRound, WithinOneOfBigUIntReference)
+{
+    const auto p = GetParam();
+    const BfvContext ctx(BfvParams::testSet(p.n, p.limbs, p.logt));
+    const size_t l = ctx.qCount();
+    const size_t full = l + ctx.bCount();
+    Rng rng(0x5ca1e + p.n + p.limbs);
+    poly::RnsPoly x(ctx.ring(), full, false);
+    for (u32 c = 0; c < ctx.degree(); ++c) {
+        const auto r = randomTensorCoeff(ctx, rng);
+        for (size_t i = 0; i < full; ++i)
+            x.limb(i)[c] = static_cast<u32>(r[i]);
+    }
+    const auto got = ctx.scaleAndRound(x);
+    const auto want = testref::bfvScaleDown(ctx, x);
+    size_t off_by_one = 0;
+    for (u32 c = 0; c < ctx.degree(); ++c) {
+        // The difference is one integer in {-1, 0, 1} on every limb.
+        const u64 q0 = ctx.ring().modulus(0);
+        const i64 d = nt::centered(
+            nt::subMod(got.limb(0)[c], want.limb(0)[c], q0), q0);
+        ASSERT_LE(std::abs(d), 1) << "coefficient " << c;
+        off_by_one += d != 0;
+        for (size_t i = 1; i < l; ++i) {
+            const u64 q = ctx.ring().modulus(i);
+            EXPECT_EQ(nt::centered(
+                          nt::subMod(got.limb(i)[c], want.limb(i)[c], q), q),
+                      d)
+                << "coefficient " << c << " limb " << i;
+        }
+    }
+    // Off-by-one needs the fraction within ~2^-23 of 1/2.
+    EXPECT_LE(off_by_one, 2u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Profiles, BfvScaleAndRound,
+                         ::testing::Values(ScaleCase{1 << 10, 4, 16},
+                                           ScaleCase{1 << 12, 4, 17},
+                                           ScaleCase{1 << 13, 8, 17}),
+                         [](const auto &info) {
+                             return "N" + std::to_string(info.param.n) +
+                                 "_L" + std::to_string(info.param.limbs) +
+                                 "_t" + std::to_string(info.param.logt);
+                         });
 
 TEST(BfvParams, Validation)
 {

@@ -97,4 +97,60 @@ randomPoly(u32 n, u64 q, u64 seed)
     return a;
 }
 
+poly::RnsPoly
+bfvScaleDown(const bfv::BfvContext &ctx, const poly::RnsPoly &x)
+{
+    const size_t l = ctx.qCount();
+    const size_t full = l + ctx.bCount();
+    internalCheck(!x.isEval() && x.limbCount() == full,
+                  "bfvScaleDown: need a coefficient-domain Q u B poly");
+    const auto &qb = ctx.qbBasis();
+    const nt::BigUInt &big_qb = qb.bigModulus();
+    const u32 t = ctx.plainModulus();
+    poly::RnsPoly y(ctx.ring(), l, false);
+    std::vector<u64> residues(full);
+    for (u32 j = 0; j < ctx.degree(); ++j) {
+        for (size_t i = 0; i < full; ++i)
+            residues[i] = x.limb(i)[j];
+        nt::BigUInt v = qb.compose(residues);
+        // Center modulo Q*B, scale, round.
+        const bool neg = (v + v).compare(big_qb) > 0;
+        if (neg)
+            v = big_qb - v;
+        const nt::BigUInt r = (v * t).divRound(ctx.bigQ());
+        for (size_t i = 0; i < l; ++i) {
+            const u64 q = ctx.ring().modulus(i);
+            const u64 ri = r.modSmall(q);
+            y.limb(i)[j] = static_cast<u32>(neg ? nt::negMod(ri, q) : ri);
+        }
+    }
+    return y;
+}
+
+bfv::BfvPlaintext
+bfvDecrypt(const bfv::BfvContext &ctx, const bfv::BfvCiphertext &ct,
+           const bfv::BfvSecretKey &sk)
+{
+    const size_t l = ctx.qCount();
+    poly::RnsPoly s = sk.s;
+    s.truncateLimbs(l);
+    poly::RnsPoly w = ct.c1;
+    w.mulPointwiseInPlace(s);
+    w.addInPlace(ct.c0);
+    w.toCoeff();
+
+    const u32 t = ctx.plainModulus();
+    bfv::BfvPlaintext pt;
+    pt.coeffs.resize(ctx.degree());
+    std::vector<u64> residues(l);
+    for (u32 j = 0; j < ctx.degree(); ++j) {
+        for (size_t i = 0; i < l; ++i)
+            residues[i] = w.limb(i)[j];
+        const nt::BigUInt x = ctx.qBasis().compose(residues);
+        pt.coeffs[j] =
+            static_cast<u32>((x * t).divRound(ctx.bigQ()).modSmall(t));
+    }
+    return pt;
+}
+
 } // namespace cross::testref

@@ -5,12 +5,14 @@
  * Ground-truth code that multiple suites compare against lives here --
  * not in the product library -- so the `cross` library ships no
  * test-only code and every suite checks against the *same* reference.
- * Used by poly_test, crossntt_test and the BAT property tests.
+ * Used by poly_test, crossntt_test, bfv_test and the BAT property
+ * tests.
  */
 #pragma once
 
 #include <vector>
 
+#include "bfv/bfv.h"
 #include "common/types.h"
 
 namespace cross::testref {
@@ -32,5 +34,19 @@ std::vector<u32> negacyclicMulKaratsuba(const std::vector<u32> &a,
 
 /** Deterministic uniform coefficient vector in [0, q)^n. */
 std::vector<u32> randomPoly(u32 n, u64 q, u64 seed);
+
+/**
+ * Reference BFV scale-down: round(t*x/Q) over Q for every coefficient
+ * of a coefficient-domain x over Q u B, composing the centred integer
+ * x mod QB with BigUInt CRT and dividing exactly. Ground truth for
+ * BfvContext::scaleAndRound.
+ */
+poly::RnsPoly bfvScaleDown(const bfv::BfvContext &ctx,
+                           const poly::RnsPoly &x);
+
+/** Reference BFV decryption: [round(t*(c0 + c1*s)/Q)]_t via BigUInt. */
+bfv::BfvPlaintext bfvDecrypt(const bfv::BfvContext &ctx,
+                             const bfv::BfvCiphertext &ct,
+                             const bfv::BfvSecretKey &sk);
 
 } // namespace cross::testref
